@@ -170,6 +170,15 @@ dune exec bench/main.exe -- --matrix --matrix-scales 24 \
   --store bench/results.jsonl --commit "$matrix_commit"
 echo "matrix: cells appended to bench/results.jsonl at commit $matrix_commit"
 
+# Benchmark self-test: short traced runs of both perfbench workloads
+# (ec-round, serve), two with one seed and one with another.  Same-seed
+# runs must agree on the answers digest, the quality metrics and every
+# per-layer work count; a different seed must change the digest.  It
+# rebuilds in the release profile, so the lint steps below rebuild the
+# dev profile.
+echo "== benchmark self-test (perfbench/selftest.py) =="
+python3 perfbench/selftest.py
+
 # Static analysis, run LAST so the final METRICS.json artifact carries
 # the lint scan's own metrics (lint.duration_s and finding counts).
 # Three gates:

@@ -8,6 +8,10 @@ let make n =
   if n < 0 then invalid_arg "Assignment.make";
   Array.make (n + 1) Dc
 
+let init n f =
+  if n < 0 then invalid_arg "Assignment.init";
+  Array.init (n + 1) (fun v -> if v = 0 then Dc else f v)
+
 let num_vars t = Array.length t - 1
 
 let check t v =
@@ -97,15 +101,14 @@ let preserved_fraction ~old_assignment t =
   if n = 0 then 1.0
   else float_of_int (preserved_count ~old_assignment t) /. float_of_int n
 
+let resize t n =
+  let cur = num_vars t in
+  init n (fun v -> if v <= cur then t.(v) else Dc)
+
 let extend t n =
   let cur = num_vars t in
   if n < cur then invalid_arg "Assignment.extend: shrinking";
-  if n = cur then t
-  else begin
-    let t' = make n in
-    Array.blit t 1 t' 1 cur;
-    t'
-  end
+  if n = cur then t else resize t n
 
 let merge ~base ~overlay =
   if num_vars base <> num_vars overlay then invalid_arg "Assignment.merge: range mismatch";

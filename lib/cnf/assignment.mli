@@ -16,6 +16,12 @@ val value_to_string : value -> string
 val make : int -> t
 (** All-DC assignment over [n] variables. *)
 
+val init : int -> (int -> value) -> t
+(** [init n f] is the assignment over [n] variables giving variable
+    [v] the value [f v], for [v] = 1..[n] in ascending order: one
+    allocation, O(n).  This is how a model is built from solver state.
+    @raise Invalid_argument if [n] is negative. *)
+
 val of_list : int -> (int * bool) list -> t
 (** [of_list n bindings] assigns each listed variable; unlisted
     variables are DC.
@@ -32,7 +38,9 @@ val value : t -> int -> value
 (** @raise Invalid_argument if the variable is out of range. *)
 
 val set : t -> int -> value -> t
-(** Functional update. *)
+(** Functional update: copies the whole assignment, so one call is
+    O(n).  A loop that sets many variables this way is O(n^2); build
+    with {!init} instead. *)
 
 val lit_true : t -> Lit.t -> bool
 (** Is the literal satisfied?  DC literals are not satisfied. *)
@@ -66,6 +74,12 @@ val preserved_count : old_assignment:t -> t -> int
 val preserved_fraction : old_assignment:t -> t -> float
 (** [preserved_count] over the compared range size; 1.0 for empty
     ranges. *)
+
+val resize : t -> int -> t
+(** [resize t n]: the first [n] variables of [t], DC beyond
+    [num_vars t].  One allocation — how a solver model over auxiliary
+    variables is cut down to the caller's formula.
+    @raise Invalid_argument if [n] is negative. *)
 
 val extend : t -> int -> t
 (** Grow to [n] variables, new variables DC.

@@ -114,7 +114,7 @@ let preserving_ec_script ?satisfiable rng f ~reference ~add_vars ~del_vars ~add_
     let n = Formula.num_clauses !f in
     if n > 1 then emit (Remove_clause (Ec_util.Rng.int rng n))
   done;
-  let reference = ref reference in
+  let dropped = ref [] in
   for _ = 1 to del_vars do
     let candidates =
       match satisfiable with
@@ -122,7 +122,7 @@ let preserving_ec_script ?satisfiable rng f ~reference ~add_vars ~del_vars ~add_
       | None ->
         (* Constructive mode: the reference must survive, i.e. no
            clause relied on the variable alone ([flip_breaks] empty). *)
-        List.filter (fun v -> Ksat.flip_breaks !f !reference v = []) (eliminable_vars !f)
+        List.filter (fun v -> Ksat.flip_breaks !f reference v = []) (eliminable_vars !f)
     in
     let rec try_pick remaining candidates =
       if remaining = 0 || candidates = [] then ()
@@ -131,7 +131,7 @@ let preserving_ec_script ?satisfiable rng f ~reference ~add_vars ~del_vars ~add_
         let f' = apply !f (Eliminate_var v) in
         if accepts f' then begin
           emit (Eliminate_var v);
-          reference := Assignment.set !reference v Assignment.Dc
+          dropped := v :: !dropped
         end
         else try_pick (remaining - 1) (List.filter (fun w -> w <> v) candidates)
       end
@@ -141,7 +141,14 @@ let preserving_ec_script ?satisfiable rng f ~reference ~add_vars ~del_vars ~add_
   for _ = 1 to add_vars do
     emit Add_var
   done;
-  let reference_now = Assignment.extend !reference (Formula.num_vars !f) in
+  (* Eliminated variables become DC in the reference.  Marking them
+     only now changes nothing above: an eliminated variable no longer
+     occurs in [!f], so [flip_breaks] never reads its value. *)
+  let reference =
+    Assignment.init (Assignment.num_vars reference) (fun v ->
+        if List.mem v !dropped then Assignment.Dc else Assignment.value reference v)
+  in
+  let reference_now = Assignment.extend reference (Formula.num_vars !f) in
   for _ = 1 to add_clauses do
     let free_clause () =
       random_clause rng ~num_vars:(Formula.num_vars !f) ~width:clause_width

@@ -51,8 +51,6 @@ type response = {
 
 let lit_of_dimacs l = if l > 0 then 2 * (l - 1) else (2 * (-l - 1)) + 1
 
-let dimacs_of_var v = v + 1
-
 let dimacs_of_lit l = if l land 1 = 0 then (l lsr 1) + 1 else -((l lsr 1) + 1)
 
 let neg l = l lxor 1
@@ -544,17 +542,12 @@ let search s (options : options) ~check assumptions =
   match !result with Some r -> r | None -> assert false
 
 let extract_assignment s =
-  let a = ref (Ec_cnf.Assignment.make s.nvars) in
-  for v = 0 to s.nvars - 1 do
-    let value =
+  Ec_cnf.Assignment.init s.nvars (fun d ->
+      let v = d - 1 in
       match s.assigns.(v) with
       | 1 -> Ec_cnf.Assignment.True
       | 0 -> Ec_cnf.Assignment.False
-      | _ -> if s.phase.(v) then Ec_cnf.Assignment.True else Ec_cnf.Assignment.False
-    in
-    a := Ec_cnf.Assignment.set !a (dimacs_of_var v) value
-  done;
-  !a
+      | _ -> if s.phase.(v) then Ec_cnf.Assignment.True else Ec_cnf.Assignment.False)
 
 let stats_of s =
   { decisions = s.stat_decisions;
@@ -712,12 +705,8 @@ module Session = struct
       match result with
       | R_sat ->
         (* Restrict the capacity-wide model to the named variables. *)
-        let full = extract_assignment t.s in
-        let a = ref (Ec_cnf.Assignment.make t.logical_nvars) in
-        for v = 1 to t.logical_nvars do
-          a := Ec_cnf.Assignment.set !a v (Ec_cnf.Assignment.value full v)
-        done;
-        { outcome = Outcome.Sat !a; core = []; counters }
+        let a = Ec_cnf.Assignment.resize (extract_assignment t.s) t.logical_nvars in
+        { outcome = Outcome.Sat a; core = []; counters }
       | R_unsat core ->
         if assumptions = [] then t.dead <- true;
         { outcome = Outcome.Unsat; core = List.map dimacs_of_lit core; counters }

@@ -127,13 +127,7 @@ let solve ?(options = default_options) ~soft hard =
   in
   (* Session models range over every variable the session has seen
      (totalizer outputs included); callers get the hard formula's. *)
-  let restrict a =
-    let out = ref (Ec_cnf.Assignment.make nvars) in
-    for v = 1 to min nvars (Ec_cnf.Assignment.num_vars a) do
-      out := Ec_cnf.Assignment.set !out v (Ec_cnf.Assignment.value a v)
-    done;
-    !out
-  in
+  let restrict a = Ec_cnf.Assignment.resize a nvars in
   let finish verdict =
     { verdict;
       lower_bound = !lb;

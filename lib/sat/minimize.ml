@@ -7,19 +7,21 @@ let recover_dc ?(order = Fewest_occurrences_first) f a =
   Ec_cnf.Formula.iteri
     (fun i c -> sat_count.(i) <- Ec_cnf.Assignment.clause_sat_count a c)
     f;
-  let vars = List.filter (fun v -> v <= n) (Ec_cnf.Assignment.assigned_vars a) in
-  let vars =
-    match order with
-    | Ascending_vars -> vars
-    | Fewest_occurrences_first ->
-      let occ v = List.length (Ec_cnf.Formula.var_occurrences f v) in
-      List.stable_sort (fun v w -> Int.compare (occ v) (occ w)) vars
-  in
-  let current = ref a in
+  let vars = Array.of_list (List.filter (fun v -> v <= n) (Ec_cnf.Assignment.assigned_vars a)) in
+  (match order with
+  | Ascending_vars -> ()
+  | Fewest_occurrences_first ->
+    (* Count once per variable, not once per comparison. *)
+    let occ = Array.make (n + 1) 0 in
+    Array.iter (fun v -> occ.(v) <- List.length (Ec_cnf.Formula.var_occurrences f v)) vars;
+    Array.stable_sort (fun v w -> Int.compare occ.(v) occ.(w)) vars);
+  (* Each variable is released at most once, so its value at release
+     time is still its value in [a]. *)
+  let released = Array.make (n + 1) false in
   let release v =
     (* Clauses whose satisfaction depends on v's current value. *)
     let true_lit =
-      match Ec_cnf.Assignment.value !current v with
+      match Ec_cnf.Assignment.value a v with
       | Ec_cnf.Assignment.True -> Some v
       | Ec_cnf.Assignment.False -> Some (-v)
       | Ec_cnf.Assignment.Dc -> None
@@ -30,12 +32,16 @@ let recover_dc ?(order = Fewest_occurrences_first) f a =
       let supported = Ec_cnf.Formula.occurrences f l in
       if List.for_all (fun i -> sat_count.(i) >= 2) supported then begin
         List.iter (fun i -> sat_count.(i) <- sat_count.(i) - 1) supported;
-        current := Ec_cnf.Assignment.set !current v Ec_cnf.Assignment.Dc
+        released.(v) <- true
       end
   in
-  List.iter release vars;
-  assert ((not (Ec_cnf.Assignment.satisfies a f)) || Ec_cnf.Assignment.satisfies !current f);
-  !current
+  Array.iter release vars;
+  let current =
+    Ec_cnf.Assignment.init (Ec_cnf.Assignment.num_vars a) (fun v ->
+        if v <= n && released.(v) then Ec_cnf.Assignment.Dc else Ec_cnf.Assignment.value a v)
+  in
+  assert ((not (Ec_cnf.Assignment.satisfies a f)) || Ec_cnf.Assignment.satisfies current f);
+  current
 
 let dc_gain f a =
   let before = Ec_cnf.Assignment.dc_count a in

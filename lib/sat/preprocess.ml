@@ -322,36 +322,37 @@ let simplify ?(max_occurrences = 10) formula =
         steps = st.steps }
 
 let reconstruct (r : result) a =
+  let width = Ec_cnf.Assignment.num_vars a in
   let n =
     List.fold_left
       (fun m -> function Fixed (v, _) -> max m v | Eliminated (v, _) -> max m v)
-      (Ec_cnf.Assignment.num_vars a) r.steps
+      width r.steps
   in
-  let a = ref (Ec_cnf.Assignment.extend a n) in
+  (* One working copy, updated in place. *)
+  let vals =
+    Array.init (n + 1) (fun v ->
+        if v >= 1 && v <= width then Ec_cnf.Assignment.value a v else Ec_cnf.Assignment.Dc)
+  in
+  let lit_true l =
+    match vals.(Ec_cnf.Lit.var l) with
+    | Ec_cnf.Assignment.True -> Ec_cnf.Lit.is_positive l
+    | Ec_cnf.Assignment.False -> not (Ec_cnf.Lit.is_positive l)
+    | Ec_cnf.Assignment.Dc -> false
+  in
+  let of_bool b = if b then Ec_cnf.Assignment.True else Ec_cnf.Assignment.False in
   (* steps are reverse chronological: the head is the last
      simplification performed, which is exactly the first one to
      undo. *)
   List.iter
     (fun step ->
       match step with
-      | Fixed (v, b) ->
-        a :=
-          Ec_cnf.Assignment.set !a v
-            (if b then Ec_cnf.Assignment.True else Ec_cnf.Assignment.False)
+      | Fixed (v, b) -> vals.(v) <- of_bool b
       | Eliminated (v, saved) ->
-        let satisfied_with value =
-          let trial = Ec_cnf.Assignment.set !a v value in
-          List.for_all
-            (fun lits -> List.exists (Ec_cnf.Assignment.lit_true trial) lits)
-            saved
-        in
-        let value =
-          if satisfied_with Ec_cnf.Assignment.True then Ec_cnf.Assignment.True
-          else Ec_cnf.Assignment.False
-        in
-        a := Ec_cnf.Assignment.set !a v value)
+        (* Trial value True; the final value overwrites it at once. *)
+        vals.(v) <- Ec_cnf.Assignment.True;
+        vals.(v) <- of_bool (List.for_all (List.exists lit_true) saved))
     r.steps;
-  !a
+  Ec_cnf.Assignment.init n (Array.get vals)
 
 let solve_with_preprocessing ?options formula =
   match simplify formula with

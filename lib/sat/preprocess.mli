@@ -14,9 +14,12 @@
     eliminated and fixed variables disappear from the simplified
     formula but reappear with correct values after reconstruction. *)
 
-type step
-(** One recorded simplification (opaque; consumed by
-    {!reconstruct}). *)
+type step = private
+  | Fixed of int * bool  (** variable fixed by a unit or pure literal *)
+  | Eliminated of int * Ec_cnf.Lit.t list list
+      (** variable resolved away, with the clauses it occurred in *)
+(** One recorded simplification, consumed by {!reconstruct}; readable
+    but not constructible outside this module. *)
 
 type result = {
   formula : Ec_cnf.Formula.t;  (** same variable numbering, fewer
