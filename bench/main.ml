@@ -857,11 +857,11 @@ let run_ablations args =
     (* incremental session *)
     let (), t_inc =
       Ec_util.Stopwatch.time (fun () ->
-          let s = Ec_sat.Incremental.create a8.formula in
+          let s = Ec_sat.Cdcl.Session.create a8.formula in
           List.iter
             (fun c ->
-              Ec_sat.Incremental.add_clause s c;
-              ignore (Ec_sat.Incremental.solve s))
+              Ec_sat.Cdcl.Session.add_clause s c;
+              ignore (Ec_sat.Cdcl.Session.solve s))
             additions)
     in
     (* fast-EC cones *)

@@ -1,4 +1,4 @@
-type t =
+type t = Formula.edit =
   | Add_clause of Clause.t
   | Remove_clause of int
   | Add_var
@@ -14,13 +14,9 @@ let is_tightening = function
   | Add_clause _ | Eliminate_var _ -> true
   | Remove_clause _ | Add_var -> false
 
-let apply f = function
-  | Add_clause c -> Formula.add_clause f c
-  | Remove_clause i -> Formula.remove_clause f i
-  | Add_var -> Formula.add_var f
-  | Eliminate_var v -> Formula.eliminate_var f v
+let apply f ch = Formula.edit f [ ch ]
 
-let apply_script f script = List.fold_left apply f script
+let apply_script = Formula.edit
 
 let random_polarity rng v = if Ec_util.Rng.bool rng then v else -v
 

@@ -9,7 +9,7 @@
     scripts of them, and generates the random change workloads used by
     Tables 2 and 3. *)
 
-type t =
+type t = Formula.edit =
   | Add_clause of Clause.t
   | Remove_clause of int  (** index into the formula at application time *)
   | Add_var
@@ -25,7 +25,16 @@ val apply : Formula.t -> t -> Formula.t
 
 val apply_script : Formula.t -> t list -> Formula.t
 (** Left-to-right application; each change sees the formula produced
-    by the previous ones. *)
+    by the previous ones ({!Formula.edit}).  One pass per script: the
+    child's clause array is built once, not once per change, and an
+    eliminated variable is stripped only from the clauses the parent's
+    occurrence index lists for it (one scan of the clauses when the
+    parent has built no index).  A script of eliminations, variable
+    additions and clause additions keeps every clause position, so the
+    child inherits the parent's occurrence index when the parent has
+    built its own (the Table-2 scripts); a script with a
+    [Remove_clause] gives a child that builds its own index on first
+    use (the Table-3 scripts). *)
 
 val random_clause :
   Ec_util.Rng.t -> num_vars:int -> width:int -> Clause.t

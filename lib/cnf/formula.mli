@@ -36,12 +36,56 @@ val has_empty_clause : t -> bool
 (** An empty clause makes the formula trivially unsatisfiable. *)
 
 val occurrences : t -> Lit.t -> int list
-(** Indices of the clauses containing the literal (exact phase).
-    The occurrence index is computed lazily once per formula. *)
+(** Indices of the clauses containing the literal (exact phase),
+    ascending; [[]] for a literal of no variable in range.
+
+    The occurrence index is a CSR table (compressed sparse rows): an
+    offsets array with one slot per literal — [2 (v - 1)] for [v],
+    [2 (v - 1) + 1] for [-v] — into one array of clause indices
+    grouped by literal, ascending.  It is built once, on the first
+    query, in two counting passes over the literals, and published
+    atomically, so domains that force it concurrently all read the
+    same table.  After that a query costs O(result).
+
+    A formula produced by {!edit} from a parent whose own table is
+    already built, by a script without [Remove_clause], inherits that
+    table instead of building one: its clause positions are the
+    parent's followed by the appended ones, so it answers from the
+    parent's table (minus the eliminated variables) plus a sorted
+    index over the appended clauses, built with the child in
+    O(a log a) for [a] appended literals.  The child keeps the
+    parent's table alive, never the parent formula, and a child's
+    child builds its own table: only a formula that owns a table
+    passes one on. *)
 
 val var_occurrences : t -> int -> int list
 (** Indices of clauses containing either phase of the variable,
-    duplicate-free. *)
+    ascending and duplicate-free; same cost as {!occurrences}. *)
+
+(** {2 Editing}
+
+    The engineering changes of {!Change}, applied by {!edit}. *)
+
+type edit =
+  | Add_clause of Clause.t
+      (** append; variables above [num_vars] grow the variable count *)
+  | Remove_clause of int  (** index into the formula at application time *)
+  | Add_var
+  | Eliminate_var of int
+      (** delete every occurrence of the variable; the variable count
+          is unchanged *)
+
+val edit : t -> edit list -> t
+(** Left-to-right application; each edit sees the formula produced by
+    the previous ones.  One pass over the script collects its net
+    effect, then the child's clause array is built once: the parent's
+    clauses (minus removed ones), with eliminated variables stripped
+    only from the clauses the parent's index lists for them (or, when
+    the parent has not built its index, in one scan of its clauses),
+    followed by the added clauses.  The empty script returns the
+    formula itself.
+    @raise Invalid_argument on an out-of-range clause index or
+    variable, as the single-edit functions below. *)
 
 val add_clause : t -> Clause.t -> t
 (** Append one clause (engineering change: new constraint).

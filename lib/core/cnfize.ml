@@ -44,8 +44,8 @@ let translate_row ~next_var (row : Ec_ilpsolver.Rows.row) =
   else Ec_sat.Cardinality.at_most ~next_var lits k
 
 let of_model model =
-  let sys = Ec_ilpsolver.Rows.of_model model in
-  let model_vars = sys.Ec_ilpsolver.Rows.nvars in
+  let rows = Ec_ilpsolver.Rows.rows_of_model model in
+  let model_vars = Ec_ilp.Model.num_vars model in
   let next_var = ref (model_vars + 1) in
   let clauses = ref [] in
   Array.iter
@@ -53,7 +53,7 @@ let of_model model =
       let enc = translate_row ~next_var:!next_var row in
       next_var := enc.Ec_sat.Cardinality.next_var;
       clauses := List.rev_append enc.Ec_sat.Cardinality.clauses !clauses)
-    sys.Ec_ilpsolver.Rows.rows;
+    rows;
   let num_vars = max model_vars (!next_var - 1) in
   { formula = Ec_cnf.Formula.create ~num_vars (List.rev !clauses); model_vars }
 

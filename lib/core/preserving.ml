@@ -362,13 +362,13 @@ let resolve_sat options pins budget f ~reference =
   let stop_reason = ref Ec_util.Budget.Completed in
   let probes = ref 0 in
   let encoded = ref (Ec_cnf.Formula.num_clauses e.e_hard) in
-  let session = Ec_sat.Incremental.create ~options e.e_hard in
+  let session = Ec_sat.Cdcl.Session.create ~options e.e_hard in
   let query assumptions =
     incr probes;
-    let r = Ec_sat.Incremental.solve_with_core ~assumptions ~budget:!remaining session in
-    remaining := Ec_util.Budget.consume !remaining r.Ec_sat.Incremental.counters;
-    spent := Ec_util.Budget.add !spent r.Ec_sat.Incremental.counters;
-    r.Ec_sat.Incremental.outcome
+    let r = Ec_sat.Cdcl.Session.solve_with_core ~assumptions ~budget:!remaining session in
+    remaining := Ec_util.Budget.consume !remaining r.Ec_sat.Cdcl.Session.counters;
+    spent := Ec_util.Budget.add !spent r.Ec_sat.Cdcl.Session.counters;
+    r.Ec_sat.Cdcl.Session.outcome
   in
   let finish best =
     { solution = best;
@@ -393,7 +393,7 @@ let resolve_sat options pins budget f ~reference =
     if u0 = 0 then finish (Some !best)
     else begin
       let card = Ec_sat.Cardinality.counter ~next_var:e.e_next_var e.e_d_lits u0 in
-      Ec_sat.Incremental.add_clauses session card.Ec_sat.Cardinality.r_clauses;
+      Ec_sat.Cdcl.Session.add_clauses session card.Ec_sat.Cardinality.r_clauses;
       encoded := !encoded + List.length card.Ec_sat.Cardinality.r_clauses;
       let rec search lo hi =
         (* invariant: k = hi is known satisfiable with witness [best] *)

@@ -14,13 +14,13 @@ type t = {
   flip_objective : bool;
 }
 
-let of_model model =
-  let nvars = Ec_ilp.Model.num_vars model in
-  for i = 0 to nvars - 1 do
+(* The binary-variable check plus the normalized rows, in model order;
+   [fn] names the public entry point in the error. *)
+let normalized_rows ~fn model =
+  for i = 0 to Ec_ilp.Model.num_vars model - 1 do
     match Ec_ilp.Model.var_kind model i with
     | Ec_ilp.Model.Binary -> ()
-    | Ec_ilp.Model.Continuous _ ->
-      invalid_arg "Rows.of_model: continuous variable in a 0-1 model"
+    | Ec_ilp.Model.Continuous _ -> invalid_arg (fn ^ ": continuous variable in a 0-1 model")
   done;
   let rows_rev = ref [] in
   let add_row origin terms ub =
@@ -40,7 +40,13 @@ let of_model model =
         add_row (c.name ^ "/le") terms rhs;
         add_row (c.name ^ "/ge") (neg terms) (-.rhs))
     (Ec_ilp.Model.constrs model);
-  let rows = Array.of_list (List.rev !rows_rev) in
+  Array.of_list (List.rev !rows_rev)
+
+let rows_of_model model = normalized_rows ~fn:"Rows.rows_of_model" model
+
+let of_model model =
+  let nvars = Ec_ilp.Model.num_vars model in
+  let rows = normalized_rows ~fn:"Rows.of_model" model in
   let occ = Array.make nvars [] in
   Array.iteri
     (fun r row ->

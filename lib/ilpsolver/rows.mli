@@ -28,6 +28,11 @@ type t = {
 val of_model : Ec_ilp.Model.t -> t
 (** @raise Invalid_argument if the model has non-binary variables. *)
 
+val rows_of_model : Ec_ilp.Model.t -> row array
+(** The [rows] of {!of_model} alone, without the occurrence lists and
+    the objective: for consumers that only translate the constraints.
+    @raise Invalid_argument if the model has non-binary variables. *)
+
 val min_activity : row -> float
 (** Activity lower bound with every variable free. *)
 

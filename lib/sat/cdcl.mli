@@ -69,10 +69,19 @@ val solve_formula :
   ?options:options -> Ec_cnf.Formula.t -> Outcome.t
 (** {!solve} without assumptions, discarding statistics. *)
 
-(** Incremental sessions: keep learnt clauses, activities and phases
-    across clause additions — engineering change at the solver level.
-    {!Incremental} is the public face; this module lives here because
-    it shares the solver's internals. *)
+(** Incremental sessions: engineering change at the solver level.  A
+    session keeps the solver's state — learnt clauses, variable
+    activities, saved phases — across a stream of clause additions, so
+    re-solving after a change starts from everything the previous
+    solves discovered.  Clause addition only strengthens the formula,
+    so retained learnt clauses remain implied and the session stays
+    sound; clause {e removal} invalidates learnts, which is why the
+    paper's fast-EC path (re-solve a fresh cone) exists.  The module
+    lives here because it shares the solver's internals.
+
+    Variables may grow: {!add_clause} accepts literals above the
+    current count and extends the session (with capacity headroom; an
+    occasional internal rebuild is transparent). *)
 module Session : sig
   type t
 
@@ -81,11 +90,16 @@ module Session : sig
   val num_vars : t -> int
 
   val add_clause : t -> Ec_cnf.Clause.t -> unit
+  (** Post one clause; the session backtracks to its root level first. *)
 
   val add_clauses : t -> Ec_cnf.Clause.t list -> unit
 
   val solve : ?assumptions:Ec_cnf.Lit.t list -> ?budget:Ec_util.Budget.t -> t -> Outcome.t
-  (** [budget] (if given) is intersected with the session options'
+  (** Satisfiability of everything posted so far, under assumptions.
+      After [Unsat] without assumptions the session is permanently
+      unsatisfiable and keeps answering [Unsat].  Running out of
+      budget answers [Unknown] and leaves the session usable.
+      [budget] (if given) is intersected with the session options'
       budget for this call only — the per-request allowance of the
       serve daemon.  Its cancellation flag stays live, so a watchdog
       holding it can stop the solve cooperatively. *)
@@ -109,4 +123,5 @@ module Session : sig
       the query the core-guided MaxSAT loop ({!Maxsat}) iterates. *)
 
   val solve_count : t -> int
+  (** Number of [solve] calls so far (instrumentation). *)
 end

@@ -100,7 +100,7 @@ let solve ?(options = default_options) ~soft hard =
         invalid_arg "Maxsat.solve: soft literal outside the hard formula's variables")
     soft;
   let soft = List.sort_uniq compare soft in
-  let session = Incremental.create ~options:options.cdcl hard in
+  let session = Cdcl.Session.create ~options:options.cdcl hard in
   let var_counter = ref (nvars + 1) in
   let clauses_encoded = ref (Ec_cnf.Formula.num_clauses hard) in
   let sat_calls = ref 0 in
@@ -112,7 +112,7 @@ let solve ?(options = default_options) ~soft hard =
   let remaining = ref options.budget in
   let spent = ref Ec_util.Budget.zero in
   let post cs =
-    List.iter (Incremental.add_clause session) cs;
+    List.iter (Cdcl.Session.add_clause session) cs;
     let n = List.length cs in
     clauses_encoded := !clauses_encoded + n;
     if Ec_util.Metrics.enabled () then Ec_util.Metrics.add m_encoded n
@@ -120,9 +120,9 @@ let solve ?(options = default_options) ~soft hard =
   let query assumptions =
     incr sat_calls;
     if Ec_util.Metrics.enabled () then Ec_util.Metrics.incr m_calls;
-    let r = Incremental.solve_with_core ~assumptions ~budget:!remaining session in
-    remaining := Ec_util.Budget.consume !remaining r.Incremental.counters;
-    spent := Ec_util.Budget.add !spent r.Incremental.counters;
+    let r = Cdcl.Session.solve_with_core ~assumptions ~budget:!remaining session in
+    remaining := Ec_util.Budget.consume !remaining r.Cdcl.Session.counters;
+    spent := Ec_util.Budget.add !spent r.Cdcl.Session.counters;
     r
   in
   (* Session models range over every variable the session has seen
@@ -148,10 +148,10 @@ let solve ?(options = default_options) ~soft hard =
      if the budget dies mid-optimization.  (OLL alone holds no model
      until it terminates.) *)
   match query [] with
-  | { Incremental.outcome = Outcome.Unsat; _ } -> finish Hard_unsat
-  | { Incremental.outcome = Outcome.Unknown reason; _ } ->
+  | { Cdcl.Session.outcome = Outcome.Unsat; _ } -> finish Hard_unsat
+  | { Cdcl.Session.outcome = Outcome.Unknown reason; _ } ->
     finish (Stopped { reason; incumbent = None })
-  | { Incremental.outcome = Outcome.Sat a0; _ } -> (
+  | { Cdcl.Session.outcome = Outcome.Sat a0; _ } -> (
     let incumbent = ref { model = restrict a0; cost = cost_of soft a0 } in
     if !incumbent.cost = 0 then finish (Optimum !incumbent)
     else begin
@@ -168,7 +168,7 @@ let solve ?(options = default_options) ~soft hard =
           result := Some (Optimum { !incumbent with cost = !lb })
         else begin
           let r = query (List.map (fun a -> a.a_lit) !active) in
-          match r.Incremental.outcome with
+          match r.Cdcl.Session.outcome with
           | Outcome.Sat a ->
             (* Every remaining assumption held: cost = #relaxed = lb. *)
             result := Some (Optimum { model = restrict a; cost = !lb })
@@ -183,7 +183,7 @@ let solve ?(options = default_options) ~soft hard =
                   | _ :: rest ->
                     Ec_cnf.Lit.make (!var_counter + 1 + Ec_util.Rng.int rng 64) true
                     :: rest)
-                r.Incremental.core
+                r.Cdcl.Session.core
             in
             if core = [] then result := Some Hard_unsat
             else begin

@@ -6,7 +6,7 @@
     literal per signal is soft.  The historical path re-encoded a
     cardinality bound and re-solved from scratch for every probe of the
     objective; this engine instead runs a {e single}
-    {!Ec_sat.Incremental} session end to end.  Soft literals are
+    {!Cdcl.Session} end to end.  Soft literals are
     assumptions; each UNSAT answer yields a core (final-conflict
     analysis) that raises the proved lower bound by one and is relaxed
     through a {!Totalizer.incremental} whose bound is strengthened {e in

@@ -7,7 +7,7 @@ module Fault = Ec_util.Fault
 type t = {
   sname : string;
   mutable formula : F.t;          (* source of truth, mirrors the engine *)
-  mutable engine : Ec_sat.Incremental.t;
+  mutable engine : Ec_sat.Cdcl.Session.t;
   mutable epins : Ec_cnf.Lit.t list;
   mutable model : A.t option;
   mutable rev : int;
@@ -28,7 +28,7 @@ let options_for ~name ~rebuilds =
 let rebuild t =
   t.rebuilds <- t.rebuilds + 1;
   t.engine <-
-    Ec_sat.Incremental.create
+    Ec_sat.Cdcl.Session.create
       ~options:(options_for ~name:t.sname ~rebuilds:t.rebuilds)
       t.formula
 
@@ -36,7 +36,7 @@ let create ~name formula =
   { sname = name;
     formula;
     engine =
-      Ec_sat.Incremental.create ~options:(options_for ~name ~rebuilds:0) formula;
+      Ec_sat.Cdcl.Session.create ~options:(options_for ~name ~rebuilds:0) formula;
     epins = [];
     model = None;
     rev = 0;
@@ -54,7 +54,7 @@ let num_clauses t = F.num_clauses t.formula
 
 let add_clauses t clauses =
   t.formula <- F.add_clauses t.formula clauses;
-  Ec_sat.Incremental.add_clauses t.engine clauses;
+  Ec_sat.Cdcl.Session.add_clauses t.engine clauses;
   t.rev <- t.rev + 1
 
 let remove_vars t vars =
@@ -63,7 +63,7 @@ let remove_vars t vars =
     Error (Printf.sprintf "variable %d out of range (session has %d)" v
              (F.num_vars t.formula))
   | None ->
-    t.formula <- List.fold_left F.eliminate_var t.formula vars;
+    t.formula <- F.edit t.formula (List.map (fun v -> F.Eliminate_var v) vars);
     t.rev <- t.rev + 1;
     (* Removal weakens the formula: retained learnt clauses are no
        longer implied, so the warm engine must be rebuilt. *)
@@ -123,7 +123,7 @@ let attempt t ~budget =
     Fault.maybe_delay (qualified t);
     let budget = Fault.burn "serve.session" budget in
     let budget = Fault.burn (qualified t) budget in
-    Ec_sat.Incremental.solve ~assumptions:t.epins ~budget t.engine
+    Ec_sat.Cdcl.Session.solve ~assumptions:t.epins ~budget t.engine
   with
   | outcome -> (
     match certify t outcome with

@@ -3,7 +3,7 @@
     A session is the server-side unit of engineering change: the
     current formula, the pinned literals (assumptions applied to every
     solve), the last certified model, and a warm
-    {!Ec_sat.Incremental} engine that carries learnt clauses across
+    {!Ec_sat.Cdcl.Session} engine that carries learnt clauses across
     clause additions.  Clause {e addition} strengthens the formula, so
     the engine is kept; variable {e removal} weakens it and
     invalidates retained learnt clauses, so the engine is rebuilt from

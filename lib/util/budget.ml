@@ -140,7 +140,7 @@ let check ?(conflicts = 0) ?(nodes = 0) ?(iterations = 0) g =
   else if over g.limit.iterations iterations then Some Iteration_budget
   else if g.deadline < infinity then begin
     g.ticks <- g.ticks + 1;
-    if g.ticks land (tick_granularity - 1) = 0 && Unix.gettimeofday () > g.deadline
+    if g.ticks land (tick_granularity - 1) = 0 && Unix.gettimeofday () >= g.deadline
     then Some Deadline
     else None
   end

@@ -150,7 +150,8 @@ val check :
   ?conflicts:int -> ?nodes:int -> ?iterations:int -> gauge -> reason option
 (** [None] while the solve may continue; [Some r] names the first
     exhausted dimension.  A limit of [n] allows exactly [n] units, so
-    a budget of 0 trips on the first unit of work.  The deadline is
+    a budget of 0 trips on the first unit of work (a time allowance
+    of 0 on the first check).  The deadline is
     consulted at most once per {!tick_granularity} calls (and on the
     first), so overshoot is bounded by one coarse tick. *)
 

@@ -93,6 +93,8 @@ let test_cdcl_reasons () =
   check reason "conflicts 0" Bu.Conflict_budget r.Ec_sat.Cdcl.reason;
   let r = solve (Bu.create ~nodes:0 ()) searchy in
   check reason "nodes 0" Bu.Node_budget r.Ec_sat.Cdcl.reason;
+  check Alcotest.bool "deadline 0 trips on the first check" true
+    (Bu.check (Bu.start (Bu.of_time 0.0)) = Some Bu.Deadline);
   let r = solve (Bu.of_time 0.0) searchy in
   check reason "deadline 0" Bu.Deadline r.Ec_sat.Cdcl.reason;
   let b, flag = Bu.with_cancel Bu.unlimited in

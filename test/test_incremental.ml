@@ -1,4 +1,4 @@
-(* Tests for Ec_sat.Incremental: session answers must always equal
+(* Tests for Ec_sat.Cdcl.Session: session answers must always equal
    from-scratch solves over the accumulated formula. *)
 
 let check = Alcotest.check
@@ -9,7 +9,7 @@ module F = Ec_cnf.Formula
 module C = Ec_cnf.Clause
 module A = Ec_cnf.Assignment
 module O = Ec_sat.Outcome
-module I = Ec_sat.Incremental
+module I = Ec_sat.Cdcl.Session
 
 let test_session_basics () =
   let f = F.of_lists ~num_vars:3 [ [ 1; 2 ]; [ -1; 3 ] ] in

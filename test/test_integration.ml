@@ -145,7 +145,7 @@ let prop_incremental_tracks_flow =
   QCheck.Test.make ~name:"incremental session tracks a change stream" ~count:40
     arb_instance (fun spec ->
       let f, planted, rng = build spec in
-      let session = Ec_sat.Incremental.create f in
+      let session = Ec_sat.Cdcl.Session.create f in
       let f_ref = ref f in
       let ok = ref true in
       for _ = 1 to 6 do
@@ -154,8 +154,8 @@ let prop_incremental_tracks_flow =
             ~num_vars:(F.num_vars f) ~width:2
         in
         f_ref := F.add_clause !f_ref c;
-        Ec_sat.Incremental.add_clause session c;
-        match (Ec_sat.Incremental.solve session, Ec_sat.Cdcl.solve_formula !f_ref) with
+        Ec_sat.Cdcl.Session.add_clause session c;
+        match (Ec_sat.Cdcl.Session.solve session, Ec_sat.Cdcl.solve_formula !f_ref) with
         | O.Sat a, O.Sat _ -> if not (A.satisfies a !f_ref) then ok := false
         | O.Unsat, O.Unsat -> ()
         | _, _ -> ok := false

@@ -40,22 +40,22 @@ let test_r1_assumptions_checked_at_full_assignment () =
    propagation to catch it. *)
 let test_r2_session_sees_root_falsified_clause () =
   let f = F.of_lists ~num_vars:7 [ [ 3 ]; [ 5 ]; [ 7 ] ] in
-  let s = Ec_sat.Incremental.create f in
-  check Alcotest.bool "initially sat" true (O.is_sat (Ec_sat.Incremental.solve s));
-  Ec_sat.Incremental.add_clause s (C.make [ -3; -5; -7 ]);
+  let s = Ec_sat.Cdcl.Session.create f in
+  check Alcotest.bool "initially sat" true (O.is_sat (Ec_sat.Cdcl.Session.solve s));
+  Ec_sat.Cdcl.Session.add_clause s (C.make [ -3; -5; -7 ]);
   check Alcotest.string "falsified-at-root clause detected" "unsat"
-    (O.to_string (Ec_sat.Incremental.solve s))
+    (O.to_string (Ec_sat.Cdcl.Session.solve s))
 
 (* The same shape interleaved with growth and further additions. *)
 let test_r2_session_interleaved () =
   let f = F.of_lists ~num_vars:4 [ [ 1 ]; [ 2 ] ] in
-  let s = Ec_sat.Incremental.create f in
-  ignore (Ec_sat.Incremental.solve s);
-  Ec_sat.Incremental.add_clause s (C.make [ 4 ]);
-  ignore (Ec_sat.Incremental.solve s);
-  Ec_sat.Incremental.add_clause s (C.make [ -1; -2; -4 ]);
+  let s = Ec_sat.Cdcl.Session.create f in
+  ignore (Ec_sat.Cdcl.Session.solve s);
+  Ec_sat.Cdcl.Session.add_clause s (C.make [ 4 ]);
+  ignore (Ec_sat.Cdcl.Session.solve s);
+  Ec_sat.Cdcl.Session.add_clause s (C.make [ -1; -2; -4 ]);
   check Alcotest.string "detected after growth" "unsat"
-    (O.to_string (Ec_sat.Incremental.solve s))
+    (O.to_string (Ec_sat.Cdcl.Session.solve s))
 
 (* R3: the original 16-clause counterexample, verbatim. *)
 let test_r3_preprocessor_unit_elimination_race () =
